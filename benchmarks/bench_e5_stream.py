@@ -1,13 +1,13 @@
-"""E14 — streaming diagnosis: cached windowed explanation vs naive loop.
+"""E14 — streaming diagnosis: batched windowed explanation vs naive loop.
 
 The claim under test has two halves, and both matter:
 
 * **throughput** — the streaming engine's fast path (one fitted model
-  reused across windows between cadenced refits, one *batched*
-  KernelSHAP call per window, background predictions memoized by the
-  explainer cache) must sustain >= 3x the epoch rate of the naive
-  online loop that refits the model and explains each violation epoch
-  individually, from a cold cache, as the epoch arrives;
+  and explainer reused across windows between cadenced refits, one
+  *batched* KernelSHAP call per window) must sustain >= 3x the epoch
+  rate of the naive online loop that refits the model and explains
+  each violation epoch individually, from a cold cache, as the epoch
+  arrives;
 * **equivalence** — the speedup must cost nothing in semantics:
   because both paths derive every stochastic choice from the same
   per-window child seeds (`repro.core.stream.window_seeds`) and the
@@ -192,7 +192,7 @@ def test_e14_streaming_beats_naive_with_identical_reports(benchmark):
     lines = [
         f"{'path':<28} {'wall-clock':>10} {'epochs/s':>9}  identical-report",
         "-" * 66,
-        f"{'streaming engine (cached)':<28} {t_engine:>9.2f}s "
+        f"{'streaming engine (batched)':<28} {t_engine:>9.2f}s "
         f"{N_EPOCHS / t_engine:>9.0f}  reference",
         f"{'naive refit+explain/epoch':<28} {t_naive:>9.2f}s "
         f"{N_EPOCHS / t_naive:>9.0f}  "
@@ -220,5 +220,5 @@ def test_e14_streaming_beats_naive_with_identical_reports(benchmark):
     # the speedup claim is only meaningful when timing is real
     if timing_enabled(benchmark):
         assert speedup >= 3.0, (
-            f"cached streaming only {speedup:.2f}x vs naive loop"
+            f"batched streaming only {speedup:.2f}x vs naive loop"
         )

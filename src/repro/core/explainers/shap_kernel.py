@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from repro.core.cache import background_predictions, coalition_design
+from repro.core.cache import coalition_design
 from repro.core.explainers.base import BatchExplanation, Explainer, Explanation
 from repro.utils.rng import check_random_state
 
@@ -106,7 +106,7 @@ class KernelShapExplainer(Explainer):
         self.l2 = float(l2)
         self.random_state = random_state
         self.expected_value_ = float(
-            np.mean(background_predictions(predict_fn, self.background))
+            np.mean(np.asarray(predict_fn(self.background), dtype=float))
         )
 
     # ------------------------------------------------------------------

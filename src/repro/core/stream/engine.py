@@ -19,8 +19,9 @@ windows of ``window_epochs`` epochs, and per window:
    the first window where the history supports a stratified fit),
 3. diagnoses the window's violation epochs through the *batched*
    explanation engine — one vectorized ``diagnose_batch`` per window,
-   chunk-dispatched to an execution backend, background predictions
-   memoized by :mod:`repro.core.cache` across windows between refits,
+   chunk-dispatched to an execution backend (the explainer computes its
+   ``expected_value_`` once, at refit; :mod:`repro.core.cache` memoizes
+   only KernelSHAP coalition designs),
 4. feeds the window's violation rate and the shift of its mean
    attribution profile into Page–Hinkley drift detectors
    (:mod:`repro.core.stream.drift`).
