@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_result
+from repro.core.matrix import default_model_factories
 from repro.ml import (
     GaussianNB,
     GradientBoostingClassifier,
-    LogisticRegression,
     MLPClassifier,
     RandomForestClassifier,
 )
@@ -24,7 +24,7 @@ from repro.ml.metrics import accuracy_score, f1_score, roc_auc_score
 from repro.ml.preprocessing import StandardScaler
 
 MODELS = {
-    "logistic_regression": lambda: LogisticRegression(max_iter=400),
+    "logistic_regression": default_model_factories()["logistic_regression"],
     "gaussian_nb": lambda: GaussianNB(),
     "random_forest": lambda: RandomForestClassifier(
         n_estimators=60, max_depth=10, random_state=0

@@ -84,7 +84,7 @@ def default_model_factories() -> dict:
             GradientBoostingClassifier,
             n_estimators=80, max_depth=3, learning_rate=0.2, random_state=0,
         ),
-        "logistic_regression": partial(LogisticRegression, max_iter=400),
+        "logistic_regression": partial(LogisticRegression),
         "mlp": partial(
             MLPClassifier,
             hidden_layer_sizes=(64, 32), max_epochs=60, random_state=0,

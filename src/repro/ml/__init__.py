@@ -5,7 +5,9 @@ with a compatible ``fit`` / ``predict`` / ``predict_proba`` API:
 
 * linear models — :class:`~repro.ml.linear.LinearRegression`,
   :class:`~repro.ml.linear.RidgeRegression`,
-  :class:`~repro.ml.linear.LogisticRegression`
+  :class:`~repro.ml.linear.LogisticRegression` (a Newton solver that
+  raises :class:`~repro.ml.linear.ConvergenceError` rather than return
+  an unconverged fit)
 * trees — :class:`~repro.ml.tree.DecisionTreeClassifier`,
   :class:`~repro.ml.tree.DecisionTreeRegressor`
 * ensembles — :class:`~repro.ml.forest.RandomForestClassifier`,
@@ -34,7 +36,12 @@ states, matching the recursive reference explainers to <= 1e-10.
 from repro.ml.base import BaseEstimator, ClassifierMixin, RegressorMixin
 from repro.ml.boosting import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.ml.linear import LinearRegression, LogisticRegression, RidgeRegression
+from repro.ml.linear import (
+    ConvergenceError,
+    LinearRegression,
+    LogisticRegression,
+    RidgeRegression,
+)
 from repro.ml.mlp import MLPClassifier, MLPRegressor
 from repro.ml.naive_bayes import GaussianNB
 from repro.ml.neighbors import KNeighborsClassifier, KNeighborsRegressor
@@ -50,6 +57,7 @@ from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 __all__ = [
     "BaseEstimator",
     "ClassifierMixin",
+    "ConvergenceError",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "GaussianNB",

@@ -14,9 +14,15 @@ from repro.utils.validation import check_array, check_fitted, check_X_y
 __all__ = [
     "LinearRegression",
     "RidgeRegression",
+    "ConvergenceError",
     "LogisticRegression",
     "solve_weighted_ridge",
 ]
+
+# Armijo sufficient-decrease constant and the backtracking cap of the
+# Newton line search (2**-40 of a Newton step is far below round-off)
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 40
 
 
 def solve_weighted_ridge(
@@ -112,39 +118,80 @@ class RidgeRegression(BaseEstimator, RegressorMixin):
         return X @ self.coef_ + self.intercept_
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _softmax(Z: np.ndarray) -> np.ndarray:
     Z = Z - Z.max(axis=1, keepdims=True)
     e = np.exp(Z)
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _newton_direction(
+    Xd: np.ndarray, P: np.ndarray, hessian_base: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """Solve ``H @ direction = G`` for the softmax cross-entropy Hessian.
+
+    Parameters are laid out class-major: block ``(a, c)`` of ``H`` is
+    ``Xd.T @ diag(P_a * (delta_ac - P_c)) @ Xd / n``, added to
+    ``hessian_base``.
+    """
+    n, p = Xd.shape
+    k = P.shape[1]
+    H = hessian_base.copy()
+    for a in range(k):
+        for c in range(a, k):
+            block = (Xd.T * (P[:, a] * ((a == c) - P[:, c]))) @ Xd / n
+            H[a * p:(a + 1) * p, c * p:(c + 1) * p] += block
+            if a != c:
+                H[c * p:(c + 1) * p, a * p:(a + 1) * p] += block.T
+    return np.linalg.solve(H, G.T.ravel()).reshape(k, p).T
+
+
+class ConvergenceError(ValueError):
+    """A solver stopped without meeting its gradient-norm tolerance.
+
+    Raised instead of returning the last iterate, so a fitted model is
+    always the optimum of its objective and never an artefact of the
+    iteration budget.
+    """
+
+    def __init__(self, message: str, *, grad_norm: float, n_iter: int):
+        super().__init__(message)
+        self.grad_norm = grad_norm
+        self.n_iter = n_iter
+
+
 class LogisticRegression(BaseEstimator, ClassifierMixin):
-    """Multinomial logistic regression trained by full-batch gradient
-    descent with backtracking on the learning rate.
+    """Multinomial logistic regression fitted by damped Newton (IRLS).
+
+    Minimises the mean softmax cross-entropy plus
+    ``0.5 * lam * ||coef_||**2`` with ``lam = 1 / (c * n_samples)``; the
+    intercept is not penalised.  Every Newton step solves the full
+    ``(d + 1) k``-square Hessian system and is damped by Armijo
+    backtracking; the fit stops at ``||grad|| < tol``, so the fitted
+    model does not depend on ``max_iter``.  ``intercept_`` sums to zero.
 
     Parameters
     ----------
     c:
         Inverse regularization strength (larger = less regularization).
-    max_iter, tol:
-        Optimization budget and gradient-norm stopping tolerance.
+    max_iter:
+        Cap on Newton steps.  Reaching it without ``||grad|| < tol``
+        raises :class:`ConvergenceError`.
+    tol:
+        Gradient-norm stopping tolerance.
+
+    Attributes
+    ----------
+    n_iter_:
+        Newton steps taken.
+    grad_norm_:
+        Gradient norm at the returned parameters (``< tol``).
     """
 
     def __init__(
         self,
         c: float = 1.0,
-        max_iter: int = 500,
+        max_iter: int = 100,
         tol: float = 1e-6,
-        learning_rate: float = 0.5,
         fit_intercept: bool = True,
     ):
         if c <= 0:
@@ -152,7 +199,6 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         self.c = c
         self.max_iter = max_iter
         self.tol = tol
-        self.learning_rate = learning_rate
         self.fit_intercept = fit_intercept
         self.coef_ = None
         self.intercept_ = None
@@ -167,31 +213,72 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
         k = len(self.classes_)
         Y = np.zeros((n, k))
         Y[np.arange(n), codes] = 1.0
-        W = np.zeros((d, k))
-        b = np.zeros(k)
+        Xd = np.hstack([X, np.ones((n, 1))]) if self.fit_intercept else X
+        p = Xd.shape[1]
         lam = 1.0 / (self.c * n)
-        lr = self.learning_rate
-        prev_loss = np.inf
-        for it in range(self.max_iter):
-            logits = X @ W + b
-            P = _softmax(logits)
-            loss = -np.mean(np.sum(Y * np.log(np.clip(P, 1e-12, 1.0)), axis=1))
-            loss += 0.5 * lam * np.sum(W * W)
-            grad_W = X.T @ (P - Y) / n + lam * W
-            grad_b = (P - Y).mean(axis=0) if self.fit_intercept else np.zeros(k)
-            grad_norm = np.sqrt(np.sum(grad_W**2) + np.sum(grad_b**2))
+        # penalty on the weights only; the last row is the intercept
+        reg = np.full((p, 1), lam)
+        if self.fit_intercept:
+            reg[-1] = 0.0
+
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            """Objective value and class probabilities at ``theta``."""
+            Z = Xd @ theta
+            zmax = Z.max(axis=1, keepdims=True)
+            E = np.exp(Z - zmax)
+            s = E.sum(axis=1, keepdims=True)
+            lse = np.log(s)[:, 0] + zmax[:, 0]
+            value = np.mean(lse - np.sum(Y * Z, axis=1))
+            value += 0.5 * float(np.sum(reg * theta * theta))
+            return value, E / s
+
+        # the Hessian's constant part: the penalty, and 1 added to the
+        # intercept x intercept block.  A common shift of all intercepts
+        # leaves the objective unchanged; the gradient is orthogonal to
+        # that null direction, so closing it this way never moves along it
+        hessian_base = np.diag(np.tile(reg[:, 0], k))
+        if self.fit_intercept:
+            icpt = np.arange(p - 1, k * p, p)
+            hessian_base[np.ix_(icpt, icpt)] += 1.0
+
+        theta = np.zeros((p, k))
+        value, P = objective(theta)
+        for step in range(self.max_iter + 1):
+            G = Xd.T @ (P - Y) / n + reg * theta
+            grad_norm = float(np.sqrt(np.sum(G * G)))
             if grad_norm < self.tol:
                 break
-            # backtrack if the step increased the loss
-            if loss > prev_loss + 1e-12:
-                lr *= 0.5
-            prev_loss = loss
-            W -= lr * grad_W
-            b -= lr * grad_b
-        self.n_iter_ = it + 1
+            if step == self.max_iter:
+                raise ConvergenceError(
+                    f"LogisticRegression did not converge: ||grad|| = "
+                    f"{grad_norm:.3g} >= tol = {self.tol:g} after "
+                    f"{step} Newton steps (max_iter={self.max_iter})",
+                    grad_norm=grad_norm, n_iter=step,
+                )
+            direction = _newton_direction(Xd, P, hessian_base, G)
+            slope = float(np.sum(G * direction))
+            t = 1.0
+            for _ in range(_MAX_BACKTRACKS):
+                cand = theta - t * direction
+                cand_value, cand_P = objective(cand)
+                if cand_value <= value - _ARMIJO * t * slope:
+                    break
+                t *= 0.5
+            else:
+                raise ConvergenceError(
+                    f"LogisticRegression line search made no progress: "
+                    f"||grad|| = {grad_norm:.3g} >= tol = {self.tol:g} "
+                    f"after {step} Newton steps",
+                    grad_norm=grad_norm, n_iter=step,
+                )
+            theta, value, P = cand, cand_value, cand_P
+        self.n_iter_ = step
+        self.grad_norm_ = grad_norm
         self.n_features_in_ = d
-        self.coef_ = W
-        self.intercept_ = b
+        if self.fit_intercept:
+            self.coef_, self.intercept_ = theta[:-1], theta[-1]
+        else:
+            self.coef_, self.intercept_ = theta, np.zeros(k)
         return self
 
     def decision_function(self, X) -> np.ndarray:

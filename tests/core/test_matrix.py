@@ -1,6 +1,7 @@
 """Tests for the scenario matrix experiment runner (repro.core.matrix)."""
 
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -199,6 +200,9 @@ class TestExecutionBackends:
         import pickle
 
         for name, factory in default_model_factories().items():
+            # perfbench's tracer rebuilds each factory from
+            # .func/.args/.keywords, so every one must be a partial
+            assert isinstance(factory, partial), name
             rebuilt = pickle.loads(pickle.dumps(factory))
             assert type(rebuilt()).__name__ == type(factory()).__name__
 
