@@ -43,7 +43,7 @@ setup(
     python_requires=">=3.10",
     packages=find_packages("src"),
     package_dir={"": "src"},
-    install_requires=["numpy>=1.22", "scipy>=1.10", "networkx>=2.8"],
+    install_requires=["numpy>=1.22"],
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -9,7 +9,6 @@ similarly.  We measure Spearman/Kendall rank correlation of
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "spearman_correlation",
@@ -29,22 +28,54 @@ def _validate_pair(a, b):
     return a, b
 
 
-def spearman_correlation(a, b, *, by_abs: bool = True) -> float:
-    """Spearman rank correlation of two attribution vectors."""
+def _average_ranks(a):
+    """1-based ranks of ``a``; tied values share the mean of their ranks."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
+def _rank_pair(a, b, by_abs):
+    """Ranks of both vectors, or ``None`` when either is constant or NaN.
+
+    Rank correlation is undefined for those inputs; callers report 0.
+    """
     a, b = _validate_pair(a, b)
     if by_abs:
         a, b = np.abs(a), np.abs(b)
-    rho = _scipy_stats.spearmanr(a, b).statistic
-    return float(rho) if np.isfinite(rho) else 0.0
+    if not (np.ptp(a) > 0 and np.ptp(b) > 0):
+        return None
+    return _average_ranks(a), _average_ranks(b)
+
+
+def spearman_correlation(a, b, *, by_abs: bool = True) -> float:
+    """Spearman rank correlation of two attribution vectors."""
+    ranks = _rank_pair(a, b, by_abs)
+    if ranks is None:
+        return 0.0
+    # Element [1, 0], not [0, 1]: the two can differ in the last ulp, and
+    # the report goldens were pinned with [1, 0].
+    return float(np.corrcoef(*ranks)[1, 0])
 
 
 def kendall_tau(a, b, *, by_abs: bool = True) -> float:
-    """Kendall's tau of two attribution vectors."""
-    a, b = _validate_pair(a, b)
-    if by_abs:
-        a, b = np.abs(a), np.abs(b)
-    tau = _scipy_stats.kendalltau(a, b).statistic
-    return float(tau) if np.isfinite(tau) else 0.0
+    """Kendall's tau-b of two attribution vectors."""
+    ranks = _rank_pair(a, b, by_abs)
+    if ranks is None:
+        return 0.0
+    i, j = np.triu_indices(len(ranks[0]), 1)
+    sa, sb = (np.sign(r[i] - r[j]).astype(np.int64) for r in ranks)
+    pairs = len(i)
+    tau = (
+        int(sa @ sb)
+        / np.sqrt(pairs - np.count_nonzero(sa == 0))
+        / np.sqrt(pairs - np.count_nonzero(sb == 0))
+    )
+    return float(np.clip(tau, -1.0, 1.0))
 
 
 def topk_jaccard(a, b, k: int = 5, *, by_abs: bool = True) -> float:

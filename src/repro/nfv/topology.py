@@ -1,4 +1,4 @@
-"""NFVI topology: servers, switches, and links (networkx-backed).
+"""NFVI topology: servers, switches, and latency-annotated links.
 
 The topology supplies two things to the simulator: (1) server resources
 (cores, memory, relative CPU speed) on which VNF instances are placed,
@@ -8,9 +8,8 @@ path over per-link delays.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 __all__ = ["Server", "NfviTopology"]
 
@@ -22,7 +21,7 @@ class Server:
     Attributes
     ----------
     server_id:
-        Unique node name (also the networkx node key).
+        Unique node name.
     cpu_cores:
         Physical cores available to VNFs.
     mem_mb:
@@ -86,31 +85,35 @@ class NfviTopology:
     """Servers and switches connected by latency-annotated links."""
 
     def __init__(self):
-        self.graph = nx.Graph()
+        # Symmetric adjacency map: node -> {neighbour: link latency (us)}.
+        self.links: dict[str, dict[str, float]] = {}
         self.servers: dict[str, Server] = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_server(self, server: Server) -> Server:
-        if server.server_id in self.graph:
+        if server.server_id in self.links:
             raise ValueError(f"duplicate node {server.server_id!r}")
-        self.graph.add_node(server.server_id, kind="server")
+        self.links[server.server_id] = {}
         self.servers[server.server_id] = server
         return server
 
     def add_switch(self, switch_id: str) -> None:
-        if switch_id in self.graph:
+        if switch_id in self.links:
             raise ValueError(f"duplicate node {switch_id!r}")
-        self.graph.add_node(switch_id, kind="switch")
+        self.links[switch_id] = {}
+
+    def _require_nodes(self, *nodes: str) -> None:
+        for node in nodes:
+            if node not in self.links:
+                raise ValueError(f"unknown node {node!r}")
 
     def add_link(self, a: str, b: str, latency_us: float = 50.0) -> None:
-        for node in (a, b):
-            if node not in self.graph:
-                raise ValueError(f"unknown node {node!r}")
+        self._require_nodes(a, b)
         if latency_us < 0:
             raise ValueError(f"latency must be >= 0, got {latency_us}")
-        self.graph.add_edge(a, b, latency_us=float(latency_us))
+        self.links[a][b] = self.links[b][a] = float(latency_us)
 
     # ------------------------------------------------------------------
     # queries
@@ -127,10 +130,23 @@ class NfviTopology:
         """Propagation latency of the cheapest path between two nodes."""
         if a == b:
             return 0.0
-        try:
-            return nx.shortest_path_length(self.graph, a, b, weight="latency_us")
-        except nx.NetworkXNoPath:
-            raise ValueError(f"no path between {a!r} and {b!r}") from None
+        self._require_nodes(a, b)
+        # Dijkstra. Distances add one link at a time outward from ``a``;
+        # the report goldens depend on that floating-point summation order.
+        best = {a: 0.0}
+        frontier = [(0.0, a)]
+        while frontier:
+            dist, node = heapq.heappop(frontier)
+            if node == b:
+                return dist
+            if dist > best[node]:
+                continue  # superseded by a cheaper entry for this node
+            for nbr, latency in self.links[node].items():
+                via = dist + latency
+                if via < best.get(nbr, float("inf")):
+                    best[nbr] = via
+                    heapq.heappush(frontier, (via, nbr))
+        raise ValueError(f"no path between {a!r} and {b!r}")
 
     @property
     def n_servers(self) -> int:

@@ -1,6 +1,8 @@
 """Tests for repro.core.evaluation (faithfulness, stability, agreement,
 axioms)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,49 @@ class TestAgreement:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             spearman_correlation([1.0, 2.0], [1.0])
+
+    # (a, b, by_abs, spearman, kendall): tie-heavy vectors, values
+    # recorded from scipy.stats.spearmanr / kendalltau (scipy 1.17.1).
+    TIE_PINS = [
+        ([0.0, 0.0, 0.0, 0.4, 0.1, 0.0, 0.2, 0.0],
+         [0.0, 0.0, 0.5, 0.3, 0.0, 0.0, 0.2, 0.1], True,
+         0.3632738710744352, 0.35176323534072423),
+        ([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0],
+         [2.0, 2.0, 1.0, 3.0, 4.0, 4.0, 4.0], True,
+         0.8333333333333334, 0.7058823529411764),
+        ([-0.5, 0.5, 0.2, -0.2, 0.0, 1.0, -1.0],
+         [0.5, 0.1, -0.2, 0.2, 0.0, -1.0, 0.3], True,
+         0.7593894812410521, 0.6324555320336759),
+        ([-0.5, 0.5, 0.2, -0.2, 0.0, 1.0, -1.0],
+         [0.5, 0.1, -0.2, 0.2, 0.0, -1.0, 0.3], False,
+         -0.8571428571428573, -0.7142857142857143),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.7],
+         [0.3, 0.0, 0.3, 0.0, 0.3, 0.0, 0.3], True,
+         0.35355339059327373, 0.35355339059327384),
+        ([0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.0, 0.0, 0.1],
+         [0.3, 0.3, 0.1, 0.0, 0.0, 0.2, 0.2, 0.1, 0.3], True,
+         -0.3185840707964601, -0.2333333333333333),
+    ]
+
+    @pytest.mark.parametrize("a, b, by_abs, rho, tau", TIE_PINS)
+    def test_tie_heavy_values_pinned_exactly(self, a, b, by_abs, rho, tau):
+        # Exact equality: these values feed the search score and the
+        # report goldens, so a last-ulp change is a behaviour change.
+        assert spearman_correlation(a, b, by_abs=by_abs) == rho
+        assert kendall_tau(a, b, by_abs=by_abs) == tau
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.zeros(6), np.full(6, 0.25), np.array([-0.3, 0.3] * 3),
+         np.array([0.1, np.nan, 0.3, 0.2, 0.0, 0.5])],
+    )
+    def test_undefined_correlation_is_zero_without_warning(self, a):
+        b = np.arange(6.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (spearman_correlation, kendall_tau):
+                assert fn(a, b) == 0.0
+                assert fn(b, a) == 0.0
 
 
 class TestAxioms:

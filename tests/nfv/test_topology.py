@@ -101,6 +101,36 @@ class TestPathLatency:
         with pytest.raises(ValueError, match="no path"):
             topo.path_latency_us("a", "b")
 
+    def test_unknown_node_raises(self):
+        topo = NfviTopology.linear(2)
+        with pytest.raises(ValueError, match="unknown node 'nope'"):
+            topo.path_latency_us("server0", "nope")
+
+    def test_relinking_overwrites_latency_both_ways(self):
+        topo = NfviTopology.linear(2, link_latency_us=100.0)
+        topo.add_link("server1", "server0", 30.0)
+        assert topo.path_latency_us("server0", "server1") == 30.0
+        assert topo.path_latency_us("server1", "server0") == 30.0
+
+    @staticmethod
+    def _routes(routes):
+        """Servers a and b joined through one switch per route."""
+        topo = NfviTopology()
+        for name in ("a", "b"):
+            topo.add_server(Server(name))
+        for switch, (first, second) in routes.items():
+            topo.add_switch(switch)
+            topo.add_link("a", switch, first)
+            topo.add_link(switch, "b", second)
+        return topo
+
+    def test_equal_cost_routes_give_same_latency(self):
+        routes = {"sw1": (0.1, 0.2), "sw2": (0.2, 0.1)}
+        both = self._routes(routes).path_latency_us("a", "b")
+        for switch, hops in routes.items():
+            only = self._routes({switch: hops}).path_latency_us("a", "b")
+            assert only == both
+
 
 class TestBuilders:
     def test_linear_counts(self):
@@ -111,7 +141,7 @@ class TestBuilders:
         topo = NfviTopology.leaf_spine(n_spine=2, n_leaf=3, servers_per_leaf=4)
         assert topo.n_servers == 12
         # 2 spines + 3 leaves + 12 servers
-        assert topo.graph.number_of_nodes() == 17
+        assert len(topo.links) == 17
 
     def test_leaf_spine_all_reachable(self):
         topo = NfviTopology.leaf_spine(n_spine=2, n_leaf=2, servers_per_leaf=2)

@@ -1,8 +1,10 @@
-"""Packaging must declare what the source imports.
+"""Packaging must declare exactly what the source imports.
 
 Every third-party package imported anywhere under ``src/repro`` has to
 appear in ``setup.py``'s ``install_requires``; otherwise a clean
-``pip install`` yields a package that fails at import time.
+``pip install`` yields a package that fails at import time.  And every
+declared package has to be imported, so a dependency the code dropped
+is not still installed into every deployment.
 """
 
 import ast
@@ -57,3 +59,9 @@ def test_every_third_party_import_is_declared():
         if package.lower() not in declared
     }
     assert not missing, f"imported but not in install_requires: {missing}"
+
+
+def test_every_declared_requirement_is_imported():
+    imported = {package.lower() for package in _imported_packages()}
+    unused = _install_requires() - imported
+    assert not unused, f"in install_requires but never imported: {unused}"
