@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "mm1_waiting_time",
     "mm1_queue_length",
@@ -24,11 +26,19 @@ __all__ = [
 MAX_STABLE_UTILIZATION = 0.995
 
 
-def _validate_rates(lam: float, mu: float) -> None:
-    if lam < 0:
+def _validate_rates(lam, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Check the rates (scalars or arrays) and return them as arrays."""
+    lam_a, mu_a = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    if np.any(lam_a < 0):
         raise ValueError(f"arrival rate must be >= 0, got {lam}")
-    if mu <= 0:
+    if np.any(mu_a <= 0):
         raise ValueError(f"service rate must be positive, got {mu}")
+    return lam_a, mu_a
+
+
+def _like_input(result: np.ndarray, *inputs):
+    """``result`` as a ``float`` when every input was a scalar."""
+    return result if any(np.ndim(x) for x in inputs) else float(result)
 
 
 def mm1_waiting_time(lam: float, mu: float) -> float:
@@ -50,8 +60,10 @@ def mm1_queue_length(lam: float, mu: float) -> float:
     return rho * rho / (1.0 - rho)
 
 
-def mg1_waiting_time(lam: float, mu: float, scv: float = 1.0) -> float:
+def mg1_waiting_time(lam, mu, scv=1.0):
     """Pollaczek–Khinchine mean waiting time for M/G/1.
+
+    Element-wise over array inputs; scalar inputs return a ``float``.
 
     Parameters
     ----------
@@ -59,11 +71,13 @@ def mg1_waiting_time(lam: float, mu: float, scv: float = 1.0) -> float:
         Squared coefficient of variation of the service time;
         ``scv=1`` recovers M/M/1, ``scv=0`` gives M/D/1 (half the wait).
     """
-    _validate_rates(lam, mu)
-    if scv < 0:
+    lam_a, mu_a = _validate_rates(lam, mu)
+    scv_a = np.asarray(scv, dtype=float)
+    if np.any(scv_a < 0):
         raise ValueError(f"scv must be >= 0, got {scv}")
-    rho = min(lam / mu, MAX_STABLE_UTILIZATION)
-    return (1.0 + scv) / 2.0 * rho / (mu * (1.0 - rho))
+    rho = np.minimum(lam_a / mu_a, MAX_STABLE_UTILIZATION)
+    wait = (1.0 + scv_a) / 2.0 * rho / (mu_a * (1.0 - rho))
+    return _like_input(wait, lam, mu, scv)
 
 
 def erlang_c(c: int, offered: float) -> float:
@@ -94,24 +108,39 @@ def mmc_waiting_time(lam: float, mu: float, c: int) -> float:
     return p_wait / (c * mu - mu * offered)
 
 
-def mm1k_loss_probability(lam: float, mu: float, k: int) -> float:
+def _pow_or_inf(base: float, k: int) -> float:
+    """Python's ``base ** k`` (libm ``pow``), ``inf`` on overflow.
+
+    Kept scalar on purpose: ``np.power`` differs from libm ``pow`` in the
+    last ulp on some inputs, which would change every simulated byte.
+    """
+    try:
+        return base**k
+    except OverflowError:
+        return math.inf
+
+
+def mm1k_loss_probability(lam, mu, k: int):
     """Blocking probability of an M/M/1/K queue with buffer size ``k``.
 
     ``P_loss = (1-rho) rho^K / (1 - rho^{K+1})`` for ``rho != 1`` and
-    ``1/(K+1)`` at ``rho == 1``.  For ``rho > 1`` the formula remains
-    valid and tends to ``1 - 1/rho`` for large K.
+    ``1/(K+1)`` at ``rho == 1``.  For ``rho > 1`` the formula tends to
+    ``1 - 1/rho`` for large K, and is exactly that in float64 once
+    ``rho^{K+1}`` overflows.  Element-wise over array ``lam``/``mu``;
+    scalar inputs return a ``float``.
     """
-    _validate_rates(lam, mu)
+    lam_a, mu_a = _validate_rates(lam, mu)
     if k < 1:
         raise ValueError(f"buffer size k must be >= 1, got {k}")
-    if lam == 0:
-        return 0.0
-    rho = lam / mu
-    if math.isclose(rho, 1.0, rel_tol=1e-12):
-        return 1.0 / (k + 1)
-    # compute in log space to avoid overflow for large rho**k
-    try:
-        rho_k = rho**k
-        return (1.0 - rho) * rho_k / (1.0 - rho * rho_k)
-    except OverflowError:
-        return 1.0 - 1.0 / rho
+    rho = lam_a / mu_a
+    rho_k = np.reshape([_pow_or_inf(r, k) for r in rho.ravel().tolist()], rho.shape)
+    diff = np.abs(1.0 - rho)  # math.isclose(rho, 1.0, rel_tol=1e-12)
+    near_one = np.isfinite(rho) & ((diff <= 1e-12) | (diff <= np.abs(1e-12 * rho)))
+    with np.errstate(all="ignore"):
+        loss = np.where(
+            np.isfinite(rho * rho_k),
+            (1.0 - rho) * rho_k / (1.0 - rho * rho_k),
+            1.0 - 1.0 / rho,
+        )
+    loss = np.where(near_one, 1.0 / (k + 1), loss)
+    return _like_input(np.where(lam_a == 0, 0.0, loss), lam, mu)

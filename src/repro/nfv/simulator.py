@@ -14,6 +14,10 @@ For every epoch the simulator:
 5. records noisy telemetry and the ground-truth labels (end-to-end
    latency, loss, SLA violation, root cause, culprit VNF set).
 
+Epochs are simulated a batch at a time, as arrays over the batch's
+epochs (see :meth:`Simulator._run_batch`); the values are those of the
+per-epoch scalar model, bit for bit, whatever the batch size.
+
 Units: kpps ≡ packets/ms, so queueing formulas fed kpps rates directly
 return milliseconds.
 """
@@ -252,15 +256,6 @@ class SimulationStream:
         )
 
 
-class _VNFState:
-    """Mutable per-instance fault state (leak level, config factor)."""
-
-    def __init__(self, instance: VNFInstance):
-        self.instance = instance
-        self.leak_mb = 0.0
-        self.config_factor = 1.0  # multiplicative capacity factor
-
-
 class Simulator:
     """Runs a :class:`Testbed` for a number of epochs.
 
@@ -381,43 +376,16 @@ class Simulator:
         collector = TelemetryCollector(
             tb.chain, noise_sigma=self.measurement_noise, random_state=telemetry_rng
         )
-        states = [_VNFState(inst) for inst in tb.chain.instances]
+        leak_mb = np.zeros(tb.chain.length)  # carried across batches
         base_propagation_ms = tb.chain.propagation_latency_us(tb.topology) / 1000.0
 
         def batches():
-            latency: list[float] = []
-            loss: list[float] = []
-            violation: list[int] = []
-            root_cause: list[str] = []
-            culprits: list[tuple[int, ...]] = []
-            start = 0
-            for t in range(n_epochs):
-                active = [e for e in events if e.active_at(t)]
-                epoch_out = self._run_epoch(
-                    t, trace, bg_traces, states, active,
+            for start in range(0, n_epochs, batch_epochs):
+                epochs = np.arange(start, min(start + batch_epochs, n_epochs))
+                yield self._run_batch(
+                    epochs, trace, bg_traces, events, leak_mb,
                     base_propagation_ms, collector,
                 )
-                latency.append(epoch_out["latency_ms"])
-                loss.append(epoch_out["loss_rate"])
-                violation.append(int(tb.chain.sla.is_violated(
-                    epoch_out["latency_ms"], epoch_out["loss_rate"]
-                )))
-                cause, culprit = self._ground_truth(active, tb)
-                root_cause.append(cause)
-                culprits.append(culprit)
-                if len(latency) == batch_epochs or t == n_epochs - 1:
-                    yield EpochBatch(
-                        start_epoch=start,
-                        features=collector.flush(),
-                        latency_ms=np.asarray(latency),
-                        loss_rate=np.asarray(loss),
-                        sla_violation=np.asarray(violation, dtype=np.int64),
-                        root_cause=np.asarray(root_cause, dtype=object),
-                        culprit_vnfs=culprits,
-                    )
-                    start = t + 1
-                    latency, loss, violation = [], [], []
-                    root_cause, culprits = [], []
 
         return SimulationStream(
             batches(),
@@ -429,166 +397,208 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def _run_epoch(
-        self, t, trace, bg_traces, states, active, base_propagation_ms, collector
-    ) -> dict:
+    def _run_batch(
+        self, epochs, trace, bg_traces, events, leak_mb, base_propagation_ms,
+        collector,
+    ) -> EpochBatch:
+        """Simulate the consecutive ``epochs`` as arrays over epochs.
+
+        Epochs depend on each other only through the leaked memory, so
+        every quantity is an array with one entry per epoch; the chain
+        walk stays sequential in VNFs (each VNF's arrivals are the
+        previous VNF's served rate).  The arithmetic is the per-epoch
+        scalar model's, operation for operation, so values do not
+        depend on the batch size.
+        """
         tb = self.testbed
-        offered = float(trace.offered_kpps[t])
-        kflows = float(trace.active_kflows[t])
-        burstiness = float(trace.burstiness[t])
+        n = len(epochs)
+        span = slice(epochs[0], epochs[-1] + 1)
+        offered = trace.offered_kpps[span]
+        kflows = trace.active_kflows[span]
+        burstiness = trace.burstiness[span]
+        # each fault overlapping the batch, with its per-epoch active mask
+        active = [
+            (e, (e.start_epoch <= epochs) & (epochs < e.end_epoch))
+            for e in events
+            if e.start_epoch <= epochs[-1] and epochs[0] < e.end_epoch
+        ]
 
-        # ---- apply chain-level faults -------------------------------
-        propagation_ms = base_propagation_ms
-        extra_chain_loss = 0.0
-        for event in active:
+        # ---- apply chain-level faults, in schedule order ------------
+        propagation_ms = np.full(n, base_propagation_ms)
+        extra_chain_loss = np.zeros(n)
+        for event, on in active:
             if event.kind is FaultKind.TRAFFIC_SURGE:
-                offered *= 1.0 + 2.0 * event.severity
-                kflows *= 1.0 + 1.5 * event.severity
+                offered = np.where(on, offered * (1.0 + 2.0 * event.severity), offered)
+                kflows = np.where(on, kflows * (1.0 + 1.5 * event.severity), kflows)
             elif event.kind is FaultKind.LINK_DEGRADATION:
-                propagation_ms *= 1.0 + 3.0 * event.severity
-                extra_chain_loss += 0.02 * event.severity
-
-        # ---- per-VNF fault state updates ----------------------------
-        for i, state in enumerate(states):
-            state.config_factor = 1.0
-            leak_active = False
-            for event in active:
-                if event.vnf_index != i:
-                    continue
-                if event.kind is FaultKind.CONFIG_ERROR:
-                    state.config_factor = min(
-                        state.config_factor, 1.0 - 0.7 * event.severity
-                    )
-                elif event.kind is FaultKind.MEMORY_LEAK:
-                    leak_active = True
-                    state.leak_mb += (
-                        LEAK_RATE_PER_EPOCH
-                        * event.severity
-                        * state.instance.mem_mb
-                    )
-            if not leak_active and state.leak_mb > 0.0:
-                # leaked memory is reclaimed once the buggy VNF restarts
-                state.leak_mb = 0.0
-
-        # ---- CPU demand accounting per server -----------------------
-        demand = {sid: 0.0 for sid in tb.topology.servers}
-        for state in states:
-            demand[state.instance.server_id] += self._cores_needed(
-                state.instance, offered, kflows
-            )
-        for chain, bg_trace in zip(tb.background_chains, bg_traces):
-            bg_offered = float(bg_trace.offered_kpps[t])
-            bg_kflows = float(bg_trace.active_kflows[t])
-            for inst in chain.instances:
-                demand[inst.server_id] += self._cores_needed(
-                    inst, bg_offered, bg_kflows
+                propagation_ms = np.where(
+                    on, propagation_ms * (1.0 + 3.0 * event.severity), propagation_ms
                 )
-        for event in active:
-            if event.kind is FaultKind.CPU_CONTENTION:
-                server = tb.topology.server(event.server_id)
-                demand[event.server_id] += event.severity * server.cpu_cores
+                extra_chain_loss = np.where(
+                    on, extra_chain_loss + 0.02 * event.severity, extra_chain_loss
+                )
 
-        contention = {}
-        for sid, server in tb.topology.servers.items():
-            contention[sid] = (
-                min(1.0, server.cpu_cores / demand[sid]) if demand[sid] > 0 else 1.0
-            )
-        pressure = {
-            sid: demand[sid] / tb.topology.servers[sid].cpu_cores
-            for sid in demand
-        }
+        # ---- CPU demand per server: chain, background, contention ---
+        demand = {sid: np.zeros(n) for sid in tb.topology.servers}
+        for inst in tb.chain.instances:
+            demand[inst.server_id] += _cores_needed(inst, offered, kflows)
+        for chain, bg_trace in zip(tb.background_chains, bg_traces):
+            for inst in chain.instances:
+                demand[inst.server_id] += _cores_needed(
+                    inst, bg_trace.offered_kpps[span], bg_trace.active_kflows[span]
+                )
+        for event, on in active:
+            if event.kind is FaultKind.CPU_CONTENTION:
+                cores = tb.topology.server(event.server_id).cpu_cores
+                demand[event.server_id] = np.where(
+                    on, demand[event.server_id] + event.severity * cores,
+                    demand[event.server_id],
+                )
 
         # ---- walk the chain -----------------------------------------
+        # per-element Python ** (libm pow), as in mm1k_loss_probability
+        scv = self.service_scv * np.array([b**2 for b in burstiness.tolist()])
         arrival = offered
-        total_queue_ms = 0.0
+        total_queue_ms = np.zeros(n)
         total_proc_ms = 0.0
-        vnf_metrics = []
-        for state in states:
-            inst = state.instance
+        columns = []
+        for i, inst in enumerate(tb.chain.instances):
             server = tb.topology.server(inst.server_id)
-            capacity = inst.nominal_capacity_kpps(server.cpu_speed)
-            capacity *= contention[inst.server_id]
-            capacity *= state.config_factor
-
-            mem_used = inst.profile.memory_mb(kflows) + state.leak_mb
-            mem_util = min(mem_used / inst.mem_mb, 1.05)
-            if mem_util > SWAP_THRESHOLD:
-                swap_penalty = max(
-                    SWAP_FLOOR, 1.0 - 3.0 * (mem_util - SWAP_THRESHOLD)
+            server_demand = demand[inst.server_id]
+            with np.errstate(divide="ignore"):
+                contention = np.where(
+                    server_demand > 0,
+                    np.minimum(1.0, server.cpu_cores / server_demand), 1.0,
                 )
-                capacity *= swap_penalty
+            config_factor = np.ones(n)
+            for event, on in active:
+                if event.vnf_index == i and event.kind is FaultKind.CONFIG_ERROR:
+                    config_factor = np.where(
+                        on, np.minimum(config_factor, 1.0 - 0.7 * event.severity),
+                        config_factor,
+                    )
+            leak = _leak_levels(
+                leak_mb[i],
+                [(on, LEAK_RATE_PER_EPOCH * event.severity * inst.mem_mb)
+                 for event, on in active
+                 if event.vnf_index == i and event.kind is FaultKind.MEMORY_LEAK],
+                n,
+            )
+            leak_mb[i] = leak[-1]
 
-            capacity = max(capacity, 1e-6)
+            capacity = inst.nominal_capacity_kpps(server.cpu_speed)
+            capacity = capacity * contention * config_factor
+            mem_used = (
+                inst.profile.mem_base_mb + inst.profile.mem_per_kflow_mb * kflows + leak
+            )
+            mem_util = np.minimum(mem_used / inst.mem_mb, 1.05)
+            swap_penalty = np.maximum(
+                SWAP_FLOOR, 1.0 - 3.0 * (mem_util - SWAP_THRESHOLD)
+            )
+            capacity = np.where(
+                mem_util > SWAP_THRESHOLD, capacity * swap_penalty, capacity
+            )
+            capacity = np.maximum(capacity, 1e-6)
             p_loss = mm1k_loss_probability(arrival, capacity, self.buffer_pkts)
             served = arrival * (1.0 - p_loss)
-            utilization = min(arrival / capacity, 1.5)
-            queue_ms = (
-                mg1_waiting_time(served, capacity, scv=self.service_scv * burstiness**2)
-                * self.batch_factor
-            )
-            proc_ms = inst.profile.base_latency_us / 1000.0
+            utilization = np.minimum(arrival / capacity, 1.5)
+            queue_ms = mg1_waiting_time(served, capacity, scv=scv) * self.batch_factor
 
             total_queue_ms += queue_ms
-            total_proc_ms += proc_ms
-            vnf_metrics.append(
-                {
-                    # capacity already includes contention and fault
-                    # penalties, so utilization saturates past 1.0 when
-                    # the VNF is starved or overloaded
-                    "cpu_util": min(utilization, 1.2),
-                    "mem_util": mem_util,
-                    "queue_ms": queue_ms,
-                    "drop_rate": p_loss,
-                    "host_pressure": pressure[inst.server_id],
-                }
-            )
+            total_proc_ms += inst.profile.base_latency_us / 1000.0
+            # capacity already includes contention and fault penalties,
+            # so utilization saturates past 1.0 when the VNF is starved
+            # or overloaded
+            columns += [
+                np.minimum(utilization, 1.2),
+                mem_util,
+                queue_ms,
+                p_loss,
+                server_demand / server.cpu_cores,
+            ]
             arrival = served
 
         delivered = arrival * (1.0 - extra_chain_loss)
-        loss_rate = 1.0 - delivered / offered if offered > 0 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss_rate = np.where(offered > 0, 1.0 - delivered / offered, 0.0)
         latency_ms = total_queue_ms + total_proc_ms + propagation_ms
 
-        collector.record_epoch(
-            vnf_metrics=vnf_metrics,
-            chain_metrics={
-                "offered_kpps": offered,
-                "active_kflows": kflows,
-                "burstiness": burstiness,
-                "propagation_ms": propagation_ms,
-            },
-            epoch=t,
-            period_epochs=tb.traffic.period_epochs,
-        )
-        return {"latency_ms": latency_ms, "loss_rate": loss_rate}
-
-    @staticmethod
-    def _cores_needed(inst: VNFInstance, offered_kpps: float, kflows: float) -> float:
-        """Cores an instance needs to serve ``offered_kpps`` (uncapped)."""
-        per_core = inst.profile.capacity_kpps_per_vcpu
-        return min(
-            offered_kpps / per_core + inst.profile.cpu_per_kflow * kflows,
-            inst.vcpus,  # an instance cannot use more cores than allocated
+        columns += [offered, kflows, burstiness, propagation_ms]
+        root_cause, culprits = self._ground_truth(active, n)
+        return EpochBatch(
+            start_epoch=int(epochs[0]),
+            features=collector.measure(
+                np.column_stack(columns), epochs, tb.traffic.period_epochs
+            ),
+            latency_ms=latency_ms,
+            loss_rate=loss_rate,
+            sla_violation=np.asarray(
+                tb.chain.sla.is_violated(latency_ms, loss_rate), dtype=np.int64
+            ),
+            root_cause=root_cause,
+            culprit_vnfs=culprits,
         )
 
-    def _ground_truth(self, active, tb) -> tuple[str, tuple[int, ...]]:
-        """Root-cause label and culprit VNF set for the current epoch.
+    def _ground_truth(self, active, n) -> tuple[np.ndarray, list]:
+        """Per-epoch root-cause labels and culprit VNF sets.
 
         With multiple simultaneous faults (possible only with a manual
-        schedule) the earliest-starting one is labelled.
+        schedule) the earliest-starting one is labelled; ties go to the
+        one listed first.
         """
-        if not active:
-            return NO_FAULT, ()
-        event = min(active, key=lambda e: e.start_epoch)
-        if event.kind in CHAIN_LEVEL_FAULTS:
-            return event.kind.value, ()
-        if event.vnf_index is not None:
-            return event.kind.value, (event.vnf_index,)
-        affected = tuple(
-            i
-            for i, inst in enumerate(tb.chain.instances)
-            if inst.server_id == event.server_id
-        )
-        return event.kind.value, affected
+        root_cause = np.full(n, NO_FAULT, dtype=object)
+        culprits: list[tuple[int, ...]] = [()] * n
+        labelled = np.zeros(n, dtype=bool)
+        for event, on in sorted(active, key=lambda a: a[0].start_epoch):
+            mine = on & ~labelled
+            labelled |= on
+            root_cause[mine] = event.kind.value
+            if event.kind in CHAIN_LEVEL_FAULTS:
+                continue
+            if event.vnf_index is not None:
+                culprit = (event.vnf_index,)
+            else:
+                culprit = tuple(
+                    i
+                    for i, inst in enumerate(self.testbed.chain.instances)
+                    if inst.server_id == event.server_id
+                )
+            for j in np.flatnonzero(mine):
+                culprits[j] = culprit
+        return root_cause, culprits
+
+
+def _cores_needed(inst: VNFInstance, offered_kpps, kflows):
+    """Cores an instance needs to serve ``offered_kpps`` (uncapped)."""
+    per_core = inst.profile.capacity_kpps_per_vcpu
+    return np.minimum(
+        offered_kpps / per_core + inst.profile.cpu_per_kflow * kflows,
+        inst.vcpus,  # an instance cannot use more cores than allocated
+    )
+
+
+def _leak_levels(carried_mb: float, leaks: list, n: int) -> np.ndarray:
+    """Leaked MB of one VNF at each of ``n`` epochs.
+
+    ``leaks`` pairs each of its active-mask arrays with a per-epoch
+    growth.  In every epoch where some leak is active, the growths of
+    the active leaks are added one by one to the level; any other epoch
+    reclaims the memory (level 0).  A run of leaking epochs starting the
+    batch continues from ``carried_mb``.  Each run is one sequential
+    ``np.add.accumulate``, so the sums round exactly like a per-epoch
+    loop (adding an inactive leak's 0.0 changes nothing).
+    """
+    level = np.zeros(n)
+    if not leaks:
+        return level
+    growth = np.column_stack([np.where(on, step, 0.0) for on, step in leaks])
+    leaking = np.any([on for on, _ in leaks], axis=0)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], leaking, [0]))))
+    for a, b in zip(edges[::2], edges[1::2]):
+        carried = carried_mb if a == 0 else 0.0
+        sums = np.add.accumulate(np.concatenate(([carried], growth[a:b].ravel())))
+        level[a:b] = sums[len(leaks)::len(leaks)]
+    return level
 
 
 # ----------------------------------------------------------------------

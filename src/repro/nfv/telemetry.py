@@ -2,7 +2,7 @@
 
 Defines the named feature vector the monitoring plane exports each
 epoch, and a collector that applies measurement noise (telemetry is
-never perfectly clean) before assembling the final
+never perfectly clean) to a batch of raw readings and assembles the
 :class:`~repro.utils.tabular.FeatureMatrix`.
 
 Feature layout for a chain of K VNFs (names carry the VNF position and
@@ -48,6 +48,9 @@ CHAIN_METRICS = ("offered_kpps", "active_kflows", "burstiness", "propagation_ms"
 #: Time-of-day encoding.
 TIME_METRICS = ("tod_sin", "tod_cos")
 
+#: Rate metrics and the value their noisy readings are clipped to.
+_RATE_CEILINGS = {"cpu_util": 1.2, "mem_util": 1.2, "drop_rate": 1.0}
+
 
 def feature_names_for_chain(chain) -> list[str]:
     """Full, ordered feature-name list for one monitored chain."""
@@ -73,7 +76,7 @@ def vnf_of_feature(name: str) -> int | None:
 
 
 class TelemetryCollector:
-    """Accumulates per-epoch measurements and renders a feature matrix.
+    """Turns raw per-epoch measurements into a noisy feature matrix.
 
     Parameters
     ----------
@@ -91,69 +94,40 @@ class TelemetryCollector:
         self.noise_sigma = noise_sigma
         self._rng = check_random_state(random_state)
         self.feature_names = feature_names_for_chain(chain)
-        self._rows: list[list[float]] = []
+        raw_metrics = [*PER_VNF_METRICS * chain.length, *CHAIN_METRICS]
+        self._ceiling = np.array([_RATE_CEILINGS.get(m, np.inf) for m in raw_metrics])
 
-    def record_epoch(
-        self,
-        *,
-        vnf_metrics: list[dict],
-        chain_metrics: dict,
-        epoch: int,
-        period_epochs: int,
-    ) -> None:
-        """Append one epoch of measurements.
+    def measure(
+        self, raw: np.ndarray, epochs: np.ndarray, period_epochs: int
+    ) -> FeatureMatrix:
+        """Render one batch of epochs as a named feature matrix.
 
-        ``vnf_metrics`` is one dict per VNF with keys
-        :data:`PER_VNF_METRICS`; ``chain_metrics`` has keys
-        :data:`CHAIN_METRICS`.
+        ``raw`` has one row per epoch and the columns of
+        :data:`PER_VNF_METRICS` for every VNF in chain order, then
+        :data:`CHAIN_METRICS`; ``epochs`` holds the rows' epoch indices
+        (for the time-of-day encoding).  Noise is one gaussian draw per
+        reading, taken in row-major order, so the values do not depend
+        on how the horizon is split into batches.  Noisy rates are
+        clipped to ``[0, 1.2]`` (``[0, 1]`` for drops) and every other
+        reading to ``>= 0``.
         """
-        if len(vnf_metrics) != self.chain.length:
+        raw = np.asarray(raw, dtype=float)
+        if raw.ndim != 2 or raw.shape[1] != self._ceiling.size:
             raise ValueError(
-                f"expected {self.chain.length} VNF metric dicts, "
-                f"got {len(vnf_metrics)}"
+                f"expected {self._ceiling.size} raw metric columns for "
+                f"{self.chain.length} VNFs, got shape {raw.shape}"
             )
-        row: list[float] = []
-        for metrics in vnf_metrics:
-            for key in PER_VNF_METRICS:
-                row.append(self._noisy(key, metrics[key]))
-        for key in CHAIN_METRICS:
-            row.append(self._noisy(key, chain_metrics[key]))
-        angle = 2.0 * np.pi * (epoch % period_epochs) / period_epochs
-        row.append(np.sin(angle))
-        row.append(np.cos(angle))
-        self._rows.append(row)
-
-    def _noisy(self, key: str, value: float) -> float:
-        """Apply relative measurement noise; rates stay in [0, 1]."""
-        if self.noise_sigma == 0.0:
-            return float(value)
-        noisy = value * (1.0 + self._rng.normal(0.0, self.noise_sigma))
-        if key in ("cpu_util", "mem_util", "drop_rate"):
-            return float(np.clip(noisy, 0.0, 1.2 if key != "drop_rate" else 1.0))
-        return float(max(noisy, 0.0))
-
-    @property
-    def n_epochs(self) -> int:
-        return len(self._rows)
-
-    def to_feature_matrix(self) -> FeatureMatrix:
-        """Render all recorded epochs as a named feature matrix."""
-        if not self._rows:
-            raise ValueError("no epochs recorded")
-        return FeatureMatrix(np.asarray(self._rows), self.feature_names)
-
-    def flush(self) -> FeatureMatrix:
-        """Render the epochs recorded since the last flush and clear them.
-
-        The streaming counterpart of :meth:`to_feature_matrix`: the
-        simulator's batch generator flushes the collector once per epoch
-        batch, so memory stays bounded by the batch size instead of the
-        full horizon.  Flushing every batch and stacking the results
-        reproduces :meth:`to_feature_matrix` byte for byte (rows are
-        converted with the same dtype and order).
-        """
-        if not self._rows:
-            raise ValueError("no epochs recorded since the last flush")
-        matrix = FeatureMatrix(np.asarray(self._rows), self.feature_names)
-        self._rows = []
-        return matrix
+        if not len(raw):
+            raise ValueError("no epochs to measure")
+        values = raw
+        if self.noise_sigma != 0.0:
+            noisy = raw * (1.0 + self._rng.normal(0.0, self.noise_sigma, raw.shape))
+            # compare-and-select, not np.maximum: a reading of -0.0 stays
+            # -0.0, as Python's max(v, 0.0) and a scalar np.clip keep it
+            values = np.where(0.0 > noisy, 0.0, noisy)
+            values = np.where(values > self._ceiling, self._ceiling, values)
+        angle = 2.0 * np.pi * (np.asarray(epochs) % period_epochs) / period_epochs
+        return FeatureMatrix(
+            np.column_stack([values, np.sin(angle), np.cos(angle)]),
+            self.feature_names,
+        )

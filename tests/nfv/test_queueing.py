@@ -122,6 +122,51 @@ class TestMM1KLoss:
     def test_large_k_no_overflow(self):
         assert np.isfinite(mm1k_loss_probability(2.0, 1.0, 10_000))
 
+    @pytest.mark.parametrize(
+        "lam, k, expected",
+        [(2.0, 1023, 0.5), (1.5, 1750, 1.0 - 1.0 / 1.5), (3.0, 646, 1.0 - 1.0 / 3.0)],
+    )
+    def test_overflow_band_is_capacity_ratio(self, lam, k, expected):
+        # rho**k is finite but rho**(k+1) overflows: the direct formula
+        # used to give 0.0 or nan here
+        assert mm1k_loss_probability(lam, 1.0, k) == expected
+
+    def test_scalar_in_float_out(self):
+        assert type(mm1k_loss_probability(0.5, 1.0, 4)) is float
+        assert type(mg1_waiting_time(0.5, 1.0, scv=2.0)) is float
+
+    def test_arrays_are_elementwise(self):
+        lam = np.array([0.0, 0.5, 1.0, 4.0])
+        got = mm1k_loss_probability(lam, 1.0, 16)
+        assert got.shape == lam.shape
+        assert got.tolist() == [mm1k_loss_probability(x, 1.0, 16) for x in lam.tolist()]
+
     def test_bad_buffer(self):
         with pytest.raises(ValueError, match="buffer"):
             mm1k_loss_probability(1.0, 1.0, 0)
+
+
+class TestArrayValidation:
+    """Array inputs raise the same errors as scalar ones."""
+
+    @pytest.mark.parametrize(
+        "lam, mu, match",
+        [
+            (np.array([0.5, -1.0]), 1.0, "arrival rate"),
+            (np.array([0.5, 0.7]), np.array([1.0, 0.0]), "service rate"),
+            (0.5, np.array([-2.0]), "service rate"),
+        ],
+    )
+    def test_bad_rates(self, lam, mu, match):
+        with pytest.raises(ValueError, match=match):
+            mm1k_loss_probability(lam, mu, 8)
+        with pytest.raises(ValueError, match=match):
+            mg1_waiting_time(lam, mu)
+
+    def test_bad_scv(self):
+        with pytest.raises(ValueError, match="scv"):
+            mg1_waiting_time(np.array([0.5, 0.5]), 1.0, scv=np.array([1.0, -0.1]))
+
+    def test_bad_buffer(self):
+        with pytest.raises(ValueError, match="buffer"):
+            mm1k_loss_probability(np.array([0.5]), np.array([1.0]), 0)

@@ -26,12 +26,10 @@ def chain():
     )
 
 
-def make_metrics(chain):
-    vnf_metrics = [
-        {m: 0.5 for m in PER_VNF_METRICS} for _ in range(chain.length)
-    ]
-    chain_metrics = {m: 1.0 for m in CHAIN_METRICS}
-    return vnf_metrics, chain_metrics
+def raw_block(chain, n_epochs, value=0.5):
+    """Raw readings: every per-VNF metric at ``value``, chain metrics 1.0."""
+    per_vnf = np.full((n_epochs, chain.length * len(PER_VNF_METRICS)), value)
+    return np.hstack([per_vnf, np.ones((n_epochs, len(CHAIN_METRICS)))])
 
 
 class TestFeatureNames:
@@ -59,39 +57,20 @@ class TestFeatureNames:
 
 
 class TestTelemetryCollector:
-    def test_records_accumulate(self, chain):
+    def test_batch_shape(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(5):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics,
-                chain_metrics=chain_metrics,
-                epoch=t,
-                period_epochs=288,
-            )
-        fm = collector.to_feature_matrix()
+        fm = collector.measure(raw_block(chain, 5), np.arange(5), 288)
         assert fm.shape == (5, len(collector.feature_names))
 
     def test_noise_free_values_exact(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        collector.record_epoch(
-            vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-            epoch=0, period_epochs=288,
-        )
-        fm = collector.to_feature_matrix()
+        fm = collector.measure(raw_block(chain, 1), np.arange(1), 288)
         assert fm.column("vnf0_firewall_cpu_util")[0] == 0.5
         assert fm.column("offered_kpps")[0] == 1.0
 
     def test_noise_perturbs_but_bounds_rates(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.3, random_state=0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(200):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-                epoch=t, period_epochs=288,
-            )
-        fm = collector.to_feature_matrix()
+        fm = collector.measure(raw_block(chain, 200), np.arange(200), 288)
         cpu = fm.column("vnf0_firewall_cpu_util")
         assert cpu.std() > 0.0
         assert cpu.min() >= 0.0 and cpu.max() <= 1.2
@@ -100,31 +79,33 @@ class TestTelemetryCollector:
 
     def test_time_encoding_on_unit_circle(self, chain):
         collector = TelemetryCollector(chain, noise_sigma=0.0)
-        vnf_metrics, chain_metrics = make_metrics(chain)
-        for t in range(10):
-            collector.record_epoch(
-                vnf_metrics=vnf_metrics, chain_metrics=chain_metrics,
-                epoch=t * 30, period_epochs=288,
-            )
-        fm = collector.to_feature_matrix()
+        fm = collector.measure(raw_block(chain, 10), np.arange(10) * 30, 288)
         radius = fm.column("tod_sin") ** 2 + fm.column("tod_cos") ** 2
         np.testing.assert_allclose(radius, 1.0, atol=1e-12)
 
     def test_wrong_vnf_count_rejected(self, chain):
         collector = TelemetryCollector(chain)
-        _, chain_metrics = make_metrics(chain)
-        with pytest.raises(ValueError, match="metric dicts"):
-            collector.record_epoch(
-                vnf_metrics=[{m: 0.0 for m in PER_VNF_METRICS}],
-                chain_metrics=chain_metrics,
-                epoch=0,
-                period_epochs=288,
-            )
+        one_vnf = raw_block(chain, 1)[:, len(PER_VNF_METRICS):]
+        with pytest.raises(ValueError, match="raw metric columns"):
+            collector.measure(one_vnf, np.arange(1), 288)
 
-    def test_empty_collector_rejected(self, chain):
+    def test_empty_batch_rejected(self, chain):
         with pytest.raises(ValueError, match="no epochs"):
-            TelemetryCollector(chain).to_feature_matrix()
+            TelemetryCollector(chain).measure(raw_block(chain, 0), np.arange(0), 288)
 
     def test_negative_noise_rejected(self, chain):
         with pytest.raises(ValueError, match="noise_sigma"):
             TelemetryCollector(chain, noise_sigma=-0.1)
+
+    def test_noise_does_not_depend_on_batching(self, chain):
+        raw = raw_block(chain, 30)
+        whole = TelemetryCollector(chain, noise_sigma=0.3, random_state=1)
+        split = TelemetryCollector(chain, noise_sigma=0.3, random_state=1)
+        parts = [
+            split.measure(raw[a:b], np.arange(a, b), 288).values
+            for a, b in ((0, 1), (1, 12), (12, 30))
+        ]
+        assert (
+            whole.measure(raw, np.arange(30), 288).values.tobytes()
+            == np.vstack(parts).tobytes()
+        )

@@ -1,0 +1,380 @@
+"""The epoch-at-a-time NFV simulator: the differential reference for the
+batch-vectorized :class:`repro.nfv.simulator.Simulator`.
+
+Every epoch is simulated with Python scalars: one ``_run_epoch`` call
+per epoch, one ``rng.normal`` draw per telemetry reading, and the
+scalar queueing formulas.  :class:`ScalarSimulator` plugs this loop
+into the production ``Simulator`` set-up (RNG spawning, fault schedule,
+traffic traces), so both must produce identical bytes under one seed —
+``tests/nfv/test_simulator_oracle.py`` asserts it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from repro.nfv.faults import CHAIN_LEVEL_FAULTS, FaultKind, NO_FAULT
+from repro.nfv.simulator import (
+    LEAK_RATE_PER_EPOCH,
+    SWAP_FLOOR,
+    SWAP_THRESHOLD,
+    EpochBatch,
+    SimulationStream,
+    Simulator,
+)
+from repro.nfv.telemetry import (
+    CHAIN_METRICS,
+    PER_VNF_METRICS,
+    feature_names_for_chain,
+)
+from repro.nfv.vnf import VNFInstance
+from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.tabular import FeatureMatrix
+
+MAX_STABLE_UTILIZATION = 0.995
+
+
+# ----------------------------------------------------------------------
+# scalar queueing
+# ----------------------------------------------------------------------
+def _validate_rates(lam: float, mu: float) -> None:
+    if lam < 0:
+        raise ValueError(f"arrival rate must be >= 0, got {lam}")
+    if mu <= 0:
+        raise ValueError(f"service rate must be positive, got {mu}")
+
+
+def mg1_waiting_time(lam: float, mu: float, scv: float = 1.0) -> float:
+    _validate_rates(lam, mu)
+    if scv < 0:
+        raise ValueError(f"scv must be >= 0, got {scv}")
+    rho = min(lam / mu, MAX_STABLE_UTILIZATION)
+    return (1.0 + scv) / 2.0 * rho / (mu * (1.0 - rho))
+
+
+def mm1k_loss_probability(lam: float, mu: float, k: int) -> float:
+    _validate_rates(lam, mu)
+    if k < 1:
+        raise ValueError(f"buffer size k must be >= 1, got {k}")
+    if lam == 0:
+        return 0.0
+    rho = lam / mu
+    if math.isclose(rho, 1.0, rel_tol=1e-12):
+        return 1.0 / (k + 1)
+    try:
+        rho_k = rho**k
+        if math.isfinite(rho * rho_k):
+            return (1.0 - rho) * rho_k / (1.0 - rho * rho_k)
+    except OverflowError:
+        pass
+    # rho**(k+1) overflows: the formula equals 1 - 1/rho in float64
+    return 1.0 - 1.0 / rho
+
+
+# ----------------------------------------------------------------------
+# per-epoch telemetry collection
+# ----------------------------------------------------------------------
+class ScalarTelemetryCollector:
+    """Accumulates one row per epoch, one noise draw per reading."""
+
+    def __init__(self, chain, noise_sigma: float = 0.02, random_state=None):
+        if noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+        self.chain = chain
+        self.noise_sigma = noise_sigma
+        self._rng = check_random_state(random_state)
+        self.feature_names = feature_names_for_chain(chain)
+        self._rows: list[list[float]] = []
+
+    def record_epoch(
+        self,
+        *,
+        vnf_metrics: list[dict],
+        chain_metrics: dict,
+        epoch: int,
+        period_epochs: int,
+    ) -> None:
+        if len(vnf_metrics) != self.chain.length:
+            raise ValueError(
+                f"expected {self.chain.length} VNF metric dicts, "
+                f"got {len(vnf_metrics)}"
+            )
+        row: list[float] = []
+        for metrics in vnf_metrics:
+            for key in PER_VNF_METRICS:
+                row.append(self._noisy(key, metrics[key]))
+        for key in CHAIN_METRICS:
+            row.append(self._noisy(key, chain_metrics[key]))
+        angle = 2.0 * np.pi * (epoch % period_epochs) / period_epochs
+        row.append(np.sin(angle))
+        row.append(np.cos(angle))
+        self._rows.append(row)
+
+    def _noisy(self, key: str, value: float) -> float:
+        """Apply relative measurement noise; rates stay in [0, 1]."""
+        if self.noise_sigma == 0.0:
+            return float(value)
+        noisy = value * (1.0 + self._rng.normal(0.0, self.noise_sigma))
+        if key in ("cpu_util", "mem_util", "drop_rate"):
+            return float(np.clip(noisy, 0.0, 1.2 if key != "drop_rate" else 1.0))
+        return float(max(noisy, 0.0))
+
+    def flush(self) -> FeatureMatrix:
+        if not self._rows:
+            raise ValueError("no epochs recorded since the last flush")
+        matrix = FeatureMatrix(np.asarray(self._rows), self.feature_names)
+        self._rows = []
+        return matrix
+
+
+# ----------------------------------------------------------------------
+# per-epoch simulation
+# ----------------------------------------------------------------------
+class _VNFState:
+    """Mutable per-instance fault state (leak level, config factor)."""
+
+    def __init__(self, instance: VNFInstance):
+        self.instance = instance
+        self.leak_mb = 0.0
+        self.config_factor = 1.0  # multiplicative capacity factor
+
+
+class ScalarSimulator(Simulator):
+    """:class:`Simulator` with the epoch-at-a-time loop; ``run`` is
+    inherited and so goes through this ``stream``."""
+
+    def stream(
+        self,
+        n_epochs: int,
+        *,
+        batch_epochs: int = 64,
+        fault_events=None,
+        fault_injector=None,
+    ) -> SimulationStream:
+        if n_epochs < 1:
+            raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
+        if batch_epochs < 1:
+            raise ValueError(f"batch_epochs must be >= 1, got {batch_epochs}")
+        if fault_events is not None and fault_injector is not None:
+            raise ValueError("pass fault_events or fault_injector, not both")
+        rng = check_random_state(self.random_state)
+        (traffic_rng, bg_rng, telemetry_rng, sched_rng) = spawn_rngs(rng, 4)
+
+        tb = self.testbed
+        if fault_injector is not None:
+            fault_events = fault_injector.schedule(n_epochs, tb.chain, sched_rng)
+        events = list(fault_events) if fault_events else []
+
+        trace = tb.traffic.generate(n_epochs, traffic_rng)
+        bg_rngs = spawn_rngs(bg_rng, len(tb.background_chains))
+        bg_traces = [
+            model.generate(n_epochs, r)
+            for model, r in zip(tb.background_traffic, bg_rngs)
+        ]
+
+        collector = ScalarTelemetryCollector(
+            tb.chain, noise_sigma=self.measurement_noise, random_state=telemetry_rng
+        )
+        states = [_VNFState(inst) for inst in tb.chain.instances]
+        base_propagation_ms = tb.chain.propagation_latency_us(tb.topology) / 1000.0
+
+        def batches():
+            latency: list[float] = []
+            loss: list[float] = []
+            violation: list[int] = []
+            root_cause: list[str] = []
+            culprits: list[tuple[int, ...]] = []
+            start = 0
+            for t in range(n_epochs):
+                active = [e for e in events if e.active_at(t)]
+                epoch_out = self._run_epoch(
+                    t, trace, bg_traces, states, active,
+                    base_propagation_ms, collector,
+                )
+                latency.append(epoch_out["latency_ms"])
+                loss.append(epoch_out["loss_rate"])
+                violation.append(int(tb.chain.sla.is_violated(
+                    epoch_out["latency_ms"], epoch_out["loss_rate"]
+                )))
+                cause, culprit = self._ground_truth(active, tb)
+                root_cause.append(cause)
+                culprits.append(culprit)
+                if len(latency) == batch_epochs or t == n_epochs - 1:
+                    yield EpochBatch(
+                        start_epoch=start,
+                        features=collector.flush(),
+                        latency_ms=np.asarray(latency),
+                        loss_rate=np.asarray(loss),
+                        sla_violation=np.asarray(violation, dtype=np.int64),
+                        root_cause=np.asarray(root_cause, dtype=object),
+                        culprit_vnfs=culprits,
+                    )
+                    start = t + 1
+                    latency, loss, violation = [], [], []
+                    root_cause, culprits = [], []
+
+        return SimulationStream(
+            batches(),
+            chain=tb.chain,
+            events=events,
+            feature_names=collector.feature_names,
+            n_epochs=n_epochs,
+            batch_epochs=batch_epochs,
+        )
+
+    def _run_epoch(
+        self, t, trace, bg_traces, states, active, base_propagation_ms, collector
+    ) -> dict:
+        tb = self.testbed
+        offered = float(trace.offered_kpps[t])
+        kflows = float(trace.active_kflows[t])
+        burstiness = float(trace.burstiness[t])
+
+        # ---- apply chain-level faults -------------------------------
+        propagation_ms = base_propagation_ms
+        extra_chain_loss = 0.0
+        for event in active:
+            if event.kind is FaultKind.TRAFFIC_SURGE:
+                offered *= 1.0 + 2.0 * event.severity
+                kflows *= 1.0 + 1.5 * event.severity
+            elif event.kind is FaultKind.LINK_DEGRADATION:
+                propagation_ms *= 1.0 + 3.0 * event.severity
+                extra_chain_loss += 0.02 * event.severity
+
+        # ---- per-VNF fault state updates ----------------------------
+        for i, state in enumerate(states):
+            state.config_factor = 1.0
+            leak_active = False
+            for event in active:
+                if event.vnf_index != i:
+                    continue
+                if event.kind is FaultKind.CONFIG_ERROR:
+                    state.config_factor = min(
+                        state.config_factor, 1.0 - 0.7 * event.severity
+                    )
+                elif event.kind is FaultKind.MEMORY_LEAK:
+                    leak_active = True
+                    state.leak_mb += (
+                        LEAK_RATE_PER_EPOCH
+                        * event.severity
+                        * state.instance.mem_mb
+                    )
+            if not leak_active and state.leak_mb > 0.0:
+                # leaked memory is reclaimed once the buggy VNF restarts
+                state.leak_mb = 0.0
+
+        # ---- CPU demand accounting per server -----------------------
+        demand = {sid: 0.0 for sid in tb.topology.servers}
+        for state in states:
+            demand[state.instance.server_id] += self._cores_needed(
+                state.instance, offered, kflows
+            )
+        for chain, bg_trace in zip(tb.background_chains, bg_traces):
+            bg_offered = float(bg_trace.offered_kpps[t])
+            bg_kflows = float(bg_trace.active_kflows[t])
+            for inst in chain.instances:
+                demand[inst.server_id] += self._cores_needed(
+                    inst, bg_offered, bg_kflows
+                )
+        for event in active:
+            if event.kind is FaultKind.CPU_CONTENTION:
+                server = tb.topology.server(event.server_id)
+                demand[event.server_id] += event.severity * server.cpu_cores
+
+        contention = {}
+        for sid, server in tb.topology.servers.items():
+            contention[sid] = (
+                min(1.0, server.cpu_cores / demand[sid]) if demand[sid] > 0 else 1.0
+            )
+        pressure = {
+            sid: demand[sid] / tb.topology.servers[sid].cpu_cores
+            for sid in demand
+        }
+
+        # ---- walk the chain -----------------------------------------
+        arrival = offered
+        total_queue_ms = 0.0
+        total_proc_ms = 0.0
+        vnf_metrics = []
+        for state in states:
+            inst = state.instance
+            server = tb.topology.server(inst.server_id)
+            capacity = inst.nominal_capacity_kpps(server.cpu_speed)
+            capacity *= contention[inst.server_id]
+            capacity *= state.config_factor
+
+            mem_used = inst.profile.memory_mb(kflows) + state.leak_mb
+            mem_util = min(mem_used / inst.mem_mb, 1.05)
+            if mem_util > SWAP_THRESHOLD:
+                swap_penalty = max(
+                    SWAP_FLOOR, 1.0 - 3.0 * (mem_util - SWAP_THRESHOLD)
+                )
+                capacity *= swap_penalty
+
+            capacity = max(capacity, 1e-6)
+            p_loss = mm1k_loss_probability(arrival, capacity, self.buffer_pkts)
+            served = arrival * (1.0 - p_loss)
+            utilization = min(arrival / capacity, 1.5)
+            queue_ms = (
+                mg1_waiting_time(served, capacity, scv=self.service_scv * burstiness**2)
+                * self.batch_factor
+            )
+            proc_ms = inst.profile.base_latency_us / 1000.0
+
+            total_queue_ms += queue_ms
+            total_proc_ms += proc_ms
+            vnf_metrics.append(
+                {
+                    "cpu_util": min(utilization, 1.2),
+                    "mem_util": mem_util,
+                    "queue_ms": queue_ms,
+                    "drop_rate": p_loss,
+                    "host_pressure": pressure[inst.server_id],
+                }
+            )
+            arrival = served
+
+        delivered = arrival * (1.0 - extra_chain_loss)
+        loss_rate = 1.0 - delivered / offered if offered > 0 else 0.0
+        latency_ms = total_queue_ms + total_proc_ms + propagation_ms
+
+        collector.record_epoch(
+            vnf_metrics=vnf_metrics,
+            chain_metrics={
+                "offered_kpps": offered,
+                "active_kflows": kflows,
+                "burstiness": burstiness,
+                "propagation_ms": propagation_ms,
+            },
+            epoch=t,
+            period_epochs=tb.traffic.period_epochs,
+        )
+        return {"latency_ms": latency_ms, "loss_rate": loss_rate}
+
+    @staticmethod
+    def _cores_needed(inst: VNFInstance, offered_kpps: float, kflows: float) -> float:
+        """Cores an instance needs to serve ``offered_kpps`` (uncapped)."""
+        per_core = inst.profile.capacity_kpps_per_vcpu
+        return min(
+            offered_kpps / per_core + inst.profile.cpu_per_kflow * kflows,
+            inst.vcpus,  # an instance cannot use more cores than allocated
+        )
+
+    def _ground_truth(self, active, tb) -> tuple[str, tuple[int, ...]]:
+        """Root-cause label and culprit VNF set for the current epoch;
+        the earliest-starting active fault is labelled."""
+        if not active:
+            return NO_FAULT, ()
+        event = min(active, key=lambda e: e.start_epoch)
+        if event.kind in CHAIN_LEVEL_FAULTS:
+            return event.kind.value, ()
+        if event.vnf_index is not None:
+            return event.kind.value, (event.vnf_index,)
+        affected = tuple(
+            i
+            for i, inst in enumerate(tb.chain.instances)
+            if inst.server_id == event.server_id
+        )
+        return event.kind.value, affected

@@ -5,6 +5,9 @@ fixtures: metric bounds, scaler round-trips, queueing monotonicity,
 Shapley efficiency, and tree prediction containment.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,11 +122,21 @@ class TestQueueingProperties:
     @given(
         lam=st.floats(0.0, 50.0),
         mu=st.floats(0.1, 50.0),
-        k=st.integers(1, 200),
+        k=st.integers(1, 5000),
     )
     def test_loss_is_probability(self, lam, mu, k):
         p = mm1k_loss_probability(lam, mu, k)
         assert 0.0 <= p <= 1.0
+
+    @given(k=st.integers(1000, 20_000), t=st.floats(0.0, 1.0))
+    def test_overflow_band_loss_is_capacity_ratio(self, k, t):
+        # rho = M**(1/(k+t)) for the largest float M: rho**k stays finite
+        # while rho**(k+1) overflows, the band where the direct formula
+        # returned 0.0 or nan
+        rho = math.exp(math.log(sys.float_info.max) / (k + t))
+        p = mm1k_loss_probability(rho, 1.0, k)
+        assert 0.0 <= p <= 1.0
+        assert p == pytest.approx(1.0 - 1.0 / rho, rel=1e-9)
 
 
 class TestTreeProperties:
